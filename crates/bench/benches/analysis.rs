@@ -57,15 +57,7 @@ fn bench_artifacts(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("fig8_usage_curves", |b| {
-        b.iter(|| {
-            (
-                usage::rate_by_cpu_util(&ds, MachineKind::Vm),
-                usage::rate_by_mem_util(&ds, MachineKind::Pm),
-                usage::rate_by_network(&ds),
-            )
-        })
-    });
+    g.bench_function("fig8_usage_curves", |b| b.iter(|| usage::fig8_curves(&ds)));
     g.bench_function("fig9_consolidation", |b| {
         b.iter(|| consolidation::rate_by_consolidation(&ds))
     });
@@ -81,6 +73,9 @@ fn bench_artifacts(c: &mut Criterion) {
     });
     g.bench_function("extra_prediction_score_week", |b| {
         b.iter(|| prediction::score_week(&ds, 26, &prediction::PredictorWeights::default()))
+    });
+    g.bench_function("extra_prediction_evaluate", |b| {
+        b.iter(|| prediction::evaluate(&ds, 8, &prediction::PredictorWeights::default()))
     });
     g.finish();
 }

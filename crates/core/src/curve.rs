@@ -3,9 +3,10 @@
 //! All four figures have the same skeleton: bucket machines by an attribute
 //! (capacity, weekly usage, consolidation level, on/off frequency), compute
 //! the weekly failure rate of each bucket, and report mean + 25th/75th
-//! percentiles per bucket. [`weekly_rate_by`] implements that skeleton for
-//! any attribute function; attributes may vary per week (usage) or be static
-//! (capacity).
+//! percentiles per bucket. [`CurveCounts`] holds the per-(bin, week)
+//! counts of that skeleton; [`weekly_rate_by_machine`] drives it for static
+//! attributes (capacity, consolidation, on/off) and
+//! [`crate::usage::UsageCounts`] for the week-varying usage panels.
 
 use dcfail_model::prelude::*;
 use dcfail_stats::binning::Bins;
@@ -82,15 +83,15 @@ impl AttributeCurve {
     }
 }
 
-/// Sentinel bin id for "machine-week not binned" in the flat columnar bin
-/// grids ([`CurveCounts::observe_machine_weeks_into`]). Bin counts are tiny
-/// (≤ 13 across all figures), so bin ids fit a `u16` with room to spare.
+/// Sentinel bin id for "machine not binned" in the flat columnar bin
+/// tables of the week-invariant curves. Bin counts are tiny (≤ 13 across
+/// all figures), so bin ids fit a `u16` with room to spare.
 pub const NO_BIN: u16 = u16::MAX;
 
 /// Mergeable per-(bin, week) population and event counts behind a
 /// rate-vs-attribute curve.
 ///
-/// A whole-fleet pass ([`weekly_rate_by`]) and a sharded pass (each shard
+/// A whole-fleet pass and a sharded pass (each shard
 /// counting its own machine-weeks and events, then absorbing) build the
 /// same counts, so [`Mergeable::finalize`] yields bit-identical
 /// [`AttributeCurve`]s either way — counting is exactly mergeable.
@@ -119,10 +120,16 @@ impl CurveCounts {
         }
     }
 
+    /// Counts one machine-week in `(bin, week)`.
+    pub fn add_machine_week(&mut self, bin: usize, week: usize) {
+        self.population.add(bin, week, 1);
+    }
+
     /// Buckets one machine's weeks under `attr(week)`, counting each binned
     /// machine-week, and returns the per-week bin assignment — needed later
     /// to attribute the machine's failure events to bins via [`Self::add_event`].
-    pub fn observe_machine_weeks(
+    #[cfg(test)]
+    pub(crate) fn observe_machine_weeks(
         &mut self,
         bins: &Bins,
         attr: impl FnMut(usize) -> Option<f64>,
@@ -142,7 +149,8 @@ impl CurveCounts {
     /// # Panics
     ///
     /// Panics if `row` is not exactly one slot per observation week.
-    pub fn observe_machine_weeks_into(
+    #[cfg(test)]
+    pub(crate) fn observe_machine_weeks_into(
         &mut self,
         bins: &Bins,
         mut attr: impl FnMut(usize) -> Option<f64>,
@@ -153,7 +161,7 @@ impl CurveCounts {
             *slot = NO_BIN;
             if let Some(value) = attr(w) {
                 if let Some(bin) = bins.index_of(value) {
-                    self.population.add(bin, w, 1);
+                    self.add_machine_week(bin, w);
                     *slot = bin as u16;
                 }
             }
@@ -267,14 +275,17 @@ impl Mergeable for CurveCounts {
     }
 }
 
-/// Computes a weekly-rate curve over attribute `attr`.
+/// Computes a weekly-rate curve over attribute `attr`: the generic
+/// per-machine-week skeleton, kept as the oracle of the specialised passes
+/// ([`crate::usage::fig8_curves`], [`weekly_rate_by_machine`]).
 ///
 /// `attr(machine, week)` returns the machine's bucket attribute for that
 /// week, or `None` to exclude the machine-week (e.g. missing telemetry).
 /// For each bucket, the weekly rate series is
 /// `events(bucket, week) / machines(bucket, week)` over all weeks where the
 /// bucket is populated.
-pub fn weekly_rate_by(
+#[cfg(test)]
+pub(crate) fn weekly_rate_by(
     dataset: &FailureDataset,
     attribute: &str,
     bins: &Bins,
@@ -308,10 +319,10 @@ pub fn weekly_rate_by(
     counts.finalize()
 }
 
-/// [`weekly_rate_by`] for week-invariant attributes (capacity,
-/// consolidation level, on/off rate): `attr` runs once per machine instead
-/// of once per machine-week, and events are attributed through a flat
-/// per-machine bin table.
+/// Weekly-rate curve for a week-invariant attribute (capacity,
+/// consolidation level, on/off rate): `attr` runs once per machine, every
+/// observation week of the machine lands in its bin, and events are
+/// attributed through a flat per-machine bin table.
 pub fn weekly_rate_by_machine(
     dataset: &FailureDataset,
     attribute: &str,

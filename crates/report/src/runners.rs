@@ -13,6 +13,8 @@ use dcfail_model::prelude::*;
 use dcfail_stats::fit::Family;
 use std::fmt::Write as _;
 
+pub use dcfail_core::usage::Fig8Curves;
+
 /// A rendered experiment report.
 ///
 /// Serializable so front-ends (the `repro` CLI's `--json` mode and the
@@ -524,23 +526,6 @@ pub(crate) fn fig7_impl(dataset: &FailureDataset) -> Rendered {
     }
 }
 
-/// The six Fig. 8 panel curves, in rendering order.
-#[derive(Debug, Clone)]
-pub struct Fig8Curves {
-    /// 8(a) PM CPU utilization.
-    pub pm_cpu: dcfail_core::curve::AttributeCurve,
-    /// 8(a) VM CPU utilization.
-    pub vm_cpu: dcfail_core::curve::AttributeCurve,
-    /// 8(b) PM memory utilization.
-    pub pm_mem: dcfail_core::curve::AttributeCurve,
-    /// 8(b) VM memory utilization.
-    pub vm_mem: dcfail_core::curve::AttributeCurve,
-    /// 8(c) VM disk utilization.
-    pub disk: dcfail_core::curve::AttributeCurve,
-    /// 8(d) VM network volume.
-    pub net: dcfail_core::curve::AttributeCurve,
-}
-
 /// Renders Fig. 8 from already-computed panel curves — the path a shard
 /// coordinator takes after merging per-shard curve counts.
 pub fn render_fig8(curves: &Fig8Curves) -> Rendered {
@@ -566,14 +551,7 @@ pub fn render_fig8(curves: &Fig8Curves) -> Rendered {
 
 /// Fig. 8: failure rate vs resource usage (four panels).
 pub(crate) fn fig8_impl(dataset: &FailureDataset) -> Rendered {
-    render_fig8(&Fig8Curves {
-        pm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Pm),
-        vm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Vm),
-        pm_mem: usage::rate_by_mem_util(dataset, MachineKind::Pm),
-        vm_mem: usage::rate_by_mem_util(dataset, MachineKind::Vm),
-        disk: usage::rate_by_disk_util(dataset),
-        net: usage::rate_by_network(dataset),
-    })
+    render_fig8(&usage::fig8_curves(dataset))
 }
 
 /// Renders Fig. 9 from an already-computed curve and population shares.

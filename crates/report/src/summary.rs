@@ -173,9 +173,10 @@ pub fn findings(dataset: &FailureDataset) -> Rendered {
         });
     }
 
-    let pm_mem = usage::rate_by_mem_util(dataset, MachineKind::Pm);
-    let vm_mem = usage::rate_by_mem_util(dataset, MachineKind::Vm);
-    if let (Some(pm_range), Some(vm_range)) = (pm_mem.dynamic_range(), vm_mem.dynamic_range()) {
+    let fig8 = usage::fig8_curves(dataset);
+    if let (Some(pm_range), Some(vm_range)) =
+        (fig8.pm_mem.dynamic_range(), fig8.vm_mem.dynamic_range())
+    {
         out.push(Finding {
             claim: "memory utilization is the dominant usage factor for PMs",
             measured: format!("PM {pm_range:.1}x vs VM {vm_range:.1}x"),

@@ -7,53 +7,32 @@
 //! population-share counters — and the coordinator absorbs the shard
 //! accumulators in index order. Counting is exactly mergeable, so the
 //! finalized curves are bit-identical to the monolithic
-//! `weekly_rate_by`/`vm_share_by_*` passes.
+//! `usage::fig8_curves`/`rate_and_share_by_machine` passes.
 
 use dcfail_core::consolidation::level_bins;
-use dcfail_core::curve::{share_from_counts, AttributeCurve, CurveCounts, NO_BIN};
+use dcfail_core::curve::{share_from_counts, AttributeCurve, CurveCounts};
 use dcfail_core::onoff::onoff_bins;
-use dcfail_core::usage::{net_bins, util_bins};
+use dcfail_core::usage::{Fig8Curves, UsageCounts};
 use dcfail_model::prelude::*;
-use dcfail_report::runners::Fig8Curves;
 use dcfail_stats::binning::Bins;
 use dcfail_stats::merge::{CountVec, Mergeable};
 use serde::{Deserialize, Serialize};
 
-/// Per-week bin assignments of one machine, one entry per telemetry curve
-/// the machine's kind contributes to — the lookup needed to attribute the
-/// machine's failure events to (bin, week) cells.
-///
-/// Week-varying panels (usage) keep a compact `u16` bin id per week
-/// ([`NO_BIN`] for unbinned weeks); the week-invariant Fig. 9/10 attributes
-/// store the single bin their constant value maps to.
-pub(crate) enum Assign {
-    /// PM machines feed the Fig. 8 CPU and memory panels.
-    Pm { cpu: Vec<u16>, mem: Vec<u16> },
-    /// VM machines feed four Fig. 8 panels plus Figs. 9 and 10.
-    Vm {
-        cpu: Vec<u16>,
-        mem: Vec<u16>,
-        disk: Vec<u16>,
-        net: Vec<u16>,
-        cons: Option<u16>,
-        onoff: Option<u16>,
-    },
+/// What attributing one machine's failure events needs beyond its weekly
+/// usage: its kind (which Fig. 8 panels it feeds) and, for VMs, the single
+/// bin each week-invariant Fig. 9/10 attribute maps to.
+pub(crate) struct Assign {
+    kind: MachineKind,
+    cons: Option<u16>,
+    onoff: Option<u16>,
 }
 
 /// All telemetry-curve accumulators of one shard: the six Fig. 8 panels,
 /// the Fig. 9/10 rate curves and the two population-share counters.
 pub(crate) struct CurveAccums {
-    weeks: usize,
-    util_bins: Bins,
-    net_bins: Bins,
     level_bins: Bins,
     onoff_bins: Bins,
-    pm_cpu: CurveCounts,
-    vm_cpu: CurveCounts,
-    pm_mem: CurveCounts,
-    vm_mem: CurveCounts,
-    vm_disk: CurveCounts,
-    vm_net: CurveCounts,
+    usage: UsageCounts,
     consolidation: CurveCounts,
     onoff: CurveCounts,
     level_shares: CountVec,
@@ -79,155 +58,74 @@ impl CurveAccums {
     /// Empty accumulators for a horizon of `weeks` observation weeks.
     ///
     /// Attribute names and bins mirror the monolithic runners
-    /// (`usage::rate_by_*`, `consolidation::rate_by_consolidation`,
+    /// (`usage::fig8_curves`, `consolidation::rate_by_consolidation`,
     /// `onoff::rate_by_onoff`) exactly — the merged finalize must be
     /// byte-identical to theirs.
     pub(crate) fn new(weeks: usize) -> Self {
-        let util = util_bins();
-        let net = net_bins();
         let level = level_bins();
         let onoff = onoff_bins();
         Self {
-            weeks,
-            pm_cpu: CurveCounts::new("cpu util %", &util, weeks),
-            vm_cpu: CurveCounts::new("cpu util %", &util, weeks),
-            pm_mem: CurveCounts::new("mem util %", &util, weeks),
-            vm_mem: CurveCounts::new("mem util %", &util, weeks),
-            vm_disk: CurveCounts::new("disk util %", &util, weeks),
-            vm_net: CurveCounts::new("net kbps", &net, weeks),
+            usage: UsageCounts::new(weeks),
             consolidation: CurveCounts::new("consolidation", &level, weeks),
             onoff: CurveCounts::new("on/off per month", &onoff, weeks),
             level_shares: CountVec::zeros(level.len()),
             onoff_shares: CountVec::zeros(onoff.len()),
-            util_bins: util,
-            net_bins: net,
             level_bins: level,
             onoff_bins: onoff,
         }
     }
 
     /// Buckets one machine's telemetry into every curve its kind feeds,
-    /// counting machine-weeks (and VM population shares), and returns the
-    /// per-week assignments for later event attribution.
+    /// counting machine-weeks (and VM population shares), and returns what
+    /// later event attribution needs.
     pub(crate) fn observe(&mut self, m: &Machine, telemetry: &Telemetry) -> Assign {
-        let id = m.id();
-        match m.kind() {
-            MachineKind::Pm => {
-                let mut cpu = vec![NO_BIN; self.weeks];
-                let mut mem = vec![NO_BIN; self.weeks];
-                self.pm_cpu.observe_machine_weeks_into(
-                    &self.util_bins,
-                    |w| telemetry.usage_in_week(id, w).map(|u| f64::from(u.cpu_pct)),
-                    &mut cpu,
-                );
-                self.pm_mem.observe_machine_weeks_into(
-                    &self.util_bins,
-                    |w| telemetry.usage_in_week(id, w).map(|u| f64::from(u.mem_pct)),
-                    &mut mem,
-                );
-                Assign::Pm { cpu, mem }
-            }
-            MachineKind::Vm => {
-                // Week-invariant attributes: computed and binned once per
-                // machine, feeding both the rate curves and the shares.
-                let level = telemetry.mean_consolidation(id);
-                let rate = telemetry
-                    .onoff(id)
-                    .and_then(OnOffLog::monthly_transition_rate);
-                let cons = self
-                    .consolidation
-                    .observe_machine_constant(&self.level_bins, level)
-                    .map(|b| b as u16);
-                let onoff = self
-                    .onoff
-                    .observe_machine_constant(&self.onoff_bins, rate)
-                    .map(|b| b as u16);
-                if let Some(bin) = cons {
-                    self.level_shares.add(bin as usize, 1);
-                }
-                if let Some(bin) = onoff {
-                    self.onoff_shares.add(bin as usize, 1);
-                }
-                let mut cpu = vec![NO_BIN; self.weeks];
-                let mut mem = vec![NO_BIN; self.weeks];
-                let mut disk = vec![NO_BIN; self.weeks];
-                let mut net = vec![NO_BIN; self.weeks];
-                self.vm_cpu.observe_machine_weeks_into(
-                    &self.util_bins,
-                    |w| telemetry.usage_in_week(id, w).map(|u| f64::from(u.cpu_pct)),
-                    &mut cpu,
-                );
-                self.vm_mem.observe_machine_weeks_into(
-                    &self.util_bins,
-                    |w| telemetry.usage_in_week(id, w).map(|u| f64::from(u.mem_pct)),
-                    &mut mem,
-                );
-                self.vm_disk.observe_machine_weeks_into(
-                    &self.util_bins,
-                    |w| {
-                        telemetry
-                            .usage_in_week(id, w)
-                            .map(|u| f64::from(u.disk_pct))
-                    },
-                    &mut disk,
-                );
-                self.vm_net.observe_machine_weeks_into(
-                    &self.net_bins,
-                    |w| {
-                        telemetry
-                            .usage_in_week(id, w)
-                            .map(|u| f64::from(u.net_kbps))
-                    },
-                    &mut net,
-                );
-                Assign::Vm {
-                    cpu,
-                    mem,
-                    disk,
-                    net,
-                    cons,
-                    onoff,
-                }
-            }
+        let (id, kind) = (m.id(), m.kind());
+        if let Some(series) = telemetry.usage(id) {
+            self.usage.observe(kind, series);
         }
+        if kind == MachineKind::Pm {
+            return Assign {
+                kind,
+                cons: None,
+                onoff: None,
+            };
+        }
+        // Week-invariant attributes: computed and binned once per machine,
+        // feeding both the rate curves and the shares.
+        let level = telemetry.mean_consolidation(id);
+        let rate = telemetry
+            .onoff(id)
+            .and_then(OnOffLog::monthly_transition_rate);
+        let cons = self
+            .consolidation
+            .observe_machine_constant(&self.level_bins, level)
+            .map(|b| b as u16);
+        let onoff = self
+            .onoff
+            .observe_machine_constant(&self.onoff_bins, rate)
+            .map(|b| b as u16);
+        if let Some(bin) = cons {
+            self.level_shares.add(bin as usize, 1);
+        }
+        if let Some(bin) = onoff {
+            self.onoff_shares.add(bin as usize, 1);
+        }
+        Assign { kind, cons, onoff }
     }
 
-    /// Counts one failure event of the machine behind `assign` in `week`,
-    /// in every curve whose bin assignment covers that week — the same rule
-    /// `weekly_rate_by` applies per curve.
-    pub(crate) fn count_event(&mut self, assign: &Assign, week: usize) {
-        let hit = |counts: &mut CurveCounts, row: &[u16]| {
-            let bin = row[week];
-            if bin != NO_BIN {
-                counts.add_event(bin as usize, week);
-            }
-        };
-        // A constant bin covers every observation week.
-        let hit_const = |counts: &mut CurveCounts, bin: Option<u16>| {
-            if let Some(bin) = bin {
-                counts.add_event(bin as usize, week);
-            }
-        };
-        match assign {
-            Assign::Pm { cpu, mem } => {
-                hit(&mut self.pm_cpu, cpu);
-                hit(&mut self.pm_mem, mem);
-            }
-            Assign::Vm {
-                cpu,
-                mem,
-                disk,
-                net,
-                cons,
-                onoff,
-            } => {
-                hit(&mut self.vm_cpu, cpu);
-                hit(&mut self.vm_mem, mem);
-                hit(&mut self.vm_disk, disk);
-                hit(&mut self.vm_net, net);
-                hit_const(&mut self.consolidation, *cons);
-                hit_const(&mut self.onoff, *onoff);
-            }
+    /// Counts one failure event in `week` of the machine behind `assign`,
+    /// whose usage that week was `usage`: in every Fig. 8 panel the usage
+    /// bins into, and in the Fig. 9/10 curves, whose constant bin covers
+    /// every observation week.
+    pub(crate) fn count_event(&mut self, assign: &Assign, week: usize, usage: Option<WeeklyUsage>) {
+        if let Some(usage) = usage {
+            self.usage.count_event(assign.kind, week, usage);
+        }
+        if let Some(bin) = assign.cons {
+            self.consolidation.add_event(bin as usize, week);
+        }
+        if let Some(bin) = assign.onoff {
+            self.onoff.add_event(bin as usize, week);
         }
     }
 }
@@ -256,12 +154,12 @@ impl CurveAccums {
     /// Extracts the checkpointable counts.
     pub(crate) fn to_state(&self) -> CurveState {
         CurveState {
-            pm_cpu: self.pm_cpu.clone(),
-            vm_cpu: self.vm_cpu.clone(),
-            pm_mem: self.pm_mem.clone(),
-            vm_mem: self.vm_mem.clone(),
-            vm_disk: self.vm_disk.clone(),
-            vm_net: self.vm_net.clone(),
+            pm_cpu: self.usage.pm_cpu.clone(),
+            vm_cpu: self.usage.vm_cpu.clone(),
+            pm_mem: self.usage.pm_mem.clone(),
+            vm_mem: self.usage.vm_mem.clone(),
+            vm_disk: self.usage.disk.clone(),
+            vm_net: self.usage.net.clone(),
             consolidation: self.consolidation.clone(),
             onoff: self.onoff.clone(),
             level_shares: self.level_shares.clone(),
@@ -272,18 +170,17 @@ impl CurveAccums {
     /// Rebuilds a full accumulator from checkpointed counts, restoring the
     /// bins from their constructors.
     pub(crate) fn from_state(state: CurveState) -> Self {
+        let mut usage = UsageCounts::identity();
+        usage.pm_cpu = state.pm_cpu;
+        usage.vm_cpu = state.vm_cpu;
+        usage.pm_mem = state.pm_mem;
+        usage.vm_mem = state.vm_mem;
+        usage.disk = state.vm_disk;
+        usage.net = state.vm_net;
         Self {
-            weeks: state.pm_cpu.weeks(),
-            util_bins: util_bins(),
-            net_bins: net_bins(),
             level_bins: level_bins(),
             onoff_bins: onoff_bins(),
-            pm_cpu: state.pm_cpu,
-            vm_cpu: state.vm_cpu,
-            pm_mem: state.pm_mem,
-            vm_mem: state.vm_mem,
-            vm_disk: state.vm_disk,
-            vm_net: state.vm_net,
+            usage,
             consolidation: state.consolidation,
             onoff: state.onoff,
             level_shares: state.level_shares,
@@ -298,17 +195,9 @@ impl Mergeable for CurveAccums {
     fn identity() -> Self {
         Self {
             // The identity is only ever absorbed into, never observed.
-            weeks: 0,
-            util_bins: util_bins(),
-            net_bins: net_bins(),
             level_bins: level_bins(),
             onoff_bins: onoff_bins(),
-            pm_cpu: CurveCounts::identity(),
-            vm_cpu: CurveCounts::identity(),
-            pm_mem: CurveCounts::identity(),
-            vm_mem: CurveCounts::identity(),
-            vm_disk: CurveCounts::identity(),
-            vm_net: CurveCounts::identity(),
+            usage: UsageCounts::identity(),
             consolidation: CurveCounts::identity(),
             onoff: CurveCounts::identity(),
             level_shares: CountVec::identity(),
@@ -317,12 +206,7 @@ impl Mergeable for CurveAccums {
     }
 
     fn absorb(&mut self, other: &Self) {
-        self.pm_cpu.absorb(&other.pm_cpu);
-        self.vm_cpu.absorb(&other.vm_cpu);
-        self.pm_mem.absorb(&other.pm_mem);
-        self.vm_mem.absorb(&other.vm_mem);
-        self.vm_disk.absorb(&other.vm_disk);
-        self.vm_net.absorb(&other.vm_net);
+        self.usage.absorb(&other.usage);
         self.consolidation.absorb(&other.consolidation);
         self.onoff.absorb(&other.onoff);
         self.level_shares.absorb(&other.level_shares);
@@ -333,14 +217,7 @@ impl Mergeable for CurveAccums {
         let level_counts = self.level_shares.finalize();
         let onoff_counts = self.onoff_shares.finalize();
         ShardedCurves {
-            fig8: Fig8Curves {
-                pm_cpu: self.pm_cpu.finalize(),
-                vm_cpu: self.vm_cpu.finalize(),
-                pm_mem: self.pm_mem.finalize(),
-                vm_mem: self.vm_mem.finalize(),
-                disk: self.vm_disk.finalize(),
-                net: self.vm_net.finalize(),
-            },
+            fig8: self.usage.finalize(),
             fig9_curve: self.consolidation.finalize(),
             fig9_shares: share_from_counts(&self.level_bins, &level_counts),
             fig10_curve: self.onoff.finalize(),
@@ -371,7 +248,7 @@ mod tests {
         let mut whole = CurveAccums::new(weeks);
         for m in &pop.machines {
             let assign = whole.observe(m, &telemetry);
-            whole.count_event(&assign, 0);
+            whole.count_event(&assign, 0, telemetry.usage_in_week(m.id(), 0));
         }
 
         // Sharded pass: two halves absorbed into the identity, in index
@@ -380,12 +257,12 @@ mod tests {
         let mut left = CurveAccums::new(weeks);
         for m in &pop.machines[..mid] {
             let assign = left.observe(m, &telemetry);
-            left.count_event(&assign, 0);
+            left.count_event(&assign, 0, telemetry.usage_in_week(m.id(), 0));
         }
         let mut right = CurveAccums::new(weeks);
         for m in &pop.machines[mid..] {
             let assign = right.observe(m, &telemetry);
-            right.count_event(&assign, 0);
+            right.count_event(&assign, 0, telemetry.usage_in_week(m.id(), 0));
         }
         let mut merged = CurveAccums::identity();
         merged.absorb(&left);

@@ -173,9 +173,9 @@ pub(crate) fn norms_shard(
 }
 
 /// Pass-2 worker: regenerates one shard's telemetry, builds its hazard
-/// slice and curve counts, drops the telemetry, then walks the per-machine
-/// incident streams. Shared by [`build_sharded`] and
-/// [`resume::resume_sharded`].
+/// slice and curve counts, walks the per-machine incident streams and
+/// attributes their events by the shard's usage, then drops the telemetry.
+/// Shared by [`build_sharded`] and [`resume::resume_sharded`].
 pub(crate) fn pass2_shard(
     config: &ScenarioConfig,
     pop: &population::Population,
@@ -195,9 +195,6 @@ pub(crate) fn pass2_shard(
         .iter()
         .map(|m| curves.observe(m, &telemetry))
         .collect();
-    // The dominant O(shard) term dies here; the incident walk below
-    // needs only the hazard slice and the spatial hit-days.
-    drop(telemetry);
     // dlint::allow(D05): StreamRng is immutable; individual_incidents_for forks per machine id
     let per_machine = dcfail_par::par_map(machines, |local, m| {
         incidents::individual_incidents_for(
@@ -213,15 +210,17 @@ pub(crate) fn pass2_shard(
         let Some(week) = config.horizon.week_of(spec.at) else {
             return;
         };
-        for mid in &spec.machines {
+        for &mid in &spec.machines {
             if range.contains(&mid.index()) {
-                curves.count_event(&assigns[mid.index() - range.start], week);
+                let usage = telemetry.usage_in_week(mid, week);
+                curves.count_event(&assigns[mid.index() - range.start], week, usage);
             }
         }
     };
     for spec in per_machine.iter().flatten().chain(spatial_specs) {
         count_spec(&mut curves, spec);
     }
+    drop(telemetry);
     ShardYield {
         specs: per_machine.into_iter().flatten().collect(),
         curves,

@@ -162,14 +162,7 @@ pub fn figure_digest(reports: &[(&'static str, Rendered)]) -> u64 {
 /// [`StreamOutput::rendered`] — the comparison target of the stream==batch
 /// determinism contract.
 pub fn batch_rendered(dataset: &FailureDataset) -> [(&'static str, Rendered); 3] {
-    let fig8 = Fig8Curves {
-        pm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Pm),
-        vm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Vm),
-        pm_mem: usage::rate_by_mem_util(dataset, MachineKind::Pm),
-        vm_mem: usage::rate_by_mem_util(dataset, MachineKind::Vm),
-        disk: usage::rate_by_disk_util(dataset),
-        net: usage::rate_by_network(dataset),
-    };
+    let fig8 = usage::fig8_curves(dataset);
     let (fig9, fig9_shares) = consolidation::fig9_parts(dataset);
     let (fig10, fig10_shares) = onoff::fig10_parts(dataset);
     [
